@@ -21,8 +21,7 @@ use accturbo_clustering::{ClusteringConfig, FeatureSet, OnlineClusterer, WindowS
 use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
-    run, run_sharded, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource,
-    SimDuration, SimTime, VecSource,
+    run, Bandwidth, ClassId, EngineConfig, Packet, SimDuration, SimTime, VecSource,
 };
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use accturbo_sched::SpPifo;
@@ -32,9 +31,6 @@ use std::net::Ipv4Addr;
 /// Figures re-run under both kernel paths for the byte-identity gate.
 const IDENTITY_FIGURES: &[&str] = &["fig2", "fig6", "fig9"];
 
-/// Shard counts exported by default (`--shards` overrides).
-pub const DEFAULT_SHARDS: &[usize] = &[2, 4, 8];
-
 /// Parsed `xp bench-export` arguments.
 #[derive(Debug, PartialEq, Eq)]
 pub struct BenchArgs {
@@ -43,9 +39,6 @@ pub struct BenchArgs {
     pub smoke: bool,
     /// `--out PATH` (default `BENCH_datapath.json`).
     pub out: String,
-    /// `--shards N[,M…]`: shard counts for the `engine_step_sharded@N`
-    /// rows (default [`DEFAULT_SHARDS`]).
-    pub shards: Vec<usize>,
 }
 
 /// Parses the arguments following `xp bench-export`.
@@ -53,7 +46,6 @@ pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs {
         smoke: false,
         out: "BENCH_datapath.json".to_string(),
-        shards: DEFAULT_SHARDS.to_vec(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -64,20 +56,6 @@ pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
                     .next()
                     .ok_or_else(|| "--out requires a PATH argument".to_string())?
                     .clone();
-            }
-            "--shards" => {
-                let list = it
-                    .next()
-                    .ok_or("--shards requires a count list, e.g. `--shards 2,4,8`")?;
-                parsed.shards = list
-                    .split(',')
-                    .map(|t| {
-                        t.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| format!("`{t}` is not a shard count"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
             }
             other => return Err(format!("unknown bench-export option `{other}`")),
         }
@@ -104,16 +82,11 @@ pub struct BenchRow {
 }
 
 /// The bench registry: every row name this module can produce from live
-/// code. `engine_step_sharded@N` resolves for any shard count ≥ 1 (the
-/// count parameterizes [`bench_engine_step_sharded`]). The JSON writer
-/// refuses rows outside this set, and the repo's consistency test
+/// code. The JSON writer refuses rows outside this set, and the repo's consistency test
 /// resolves every committed `BENCH_datapath.json` row against it — a
 /// row from a deleted (or never-landed) bench cannot survive in the
 /// archive.
 pub fn is_registered(name: &str) -> bool {
-    if let Some(n) = name.strip_prefix("engine_step_sharded@") {
-        return n.parse::<usize>().is_ok_and(|n| n >= 1);
-    }
     matches!(
         name,
         "engine_step" | "cluster_scan_soa" | "cluster_update" | "sppifo_enqueue"
@@ -167,18 +140,6 @@ fn engine_switch() -> AccTurboSwitch<'static> {
     .build()
 }
 
-/// The switch for the sharded rows: the full 12-feature simulation
-/// profile — the configuration ROADMAP item 2's "Internet-day at scale"
-/// workloads run, and the regime the datapath rebuild targets: wide
-/// per-packet feature extraction and a fully occupied cluster scan
-/// dominate the step, so the arena's batched extraction and the bounded
-/// SoA column scan carry the row. The serial `engine_step` row keeps
-/// the 4-feature hardware profile for comparability with its committed
-/// history.
-fn sharded_switch() -> AccTurboSwitch<'static> {
-    AccTurboSpec::simulation().build()
-}
-
 fn engine_cfg() -> EngineConfig {
     EngineConfig::new(Bandwidth::from_mbps(100))
         .with_stats_interval(SimDuration::from_secs(1))
@@ -216,101 +177,6 @@ fn bench_engine_step(h: &Harness, n: u64) -> BenchRow {
         .expect("unfiltered");
     force_reference_kernels(false);
     row("engine_step".into(), &fast, Some(&reference))
-}
-
-/// Source count for the sharded engine rows: enough independent
-/// generators that the serial engine pays a realistically wide k-way
-/// merge heap (the pulse-wave experiments' shape), while the sharded
-/// datapath reassembles the same stream from per-window sorted batches.
-const SHARD_SOURCES: usize = 512;
-
-/// The engine workload split across [`SHARD_SOURCES`] generators:
-/// source `j` emits every `j`-th packet of the same arrival grid, so the
-/// merged stream is `engine_workload`-shaped but must be reassembled
-/// from 512 interleaved heads. Per-source src addresses keep the flow
-/// space diverse.
-fn sharded_workload(n: u64) -> Vec<Vec<Packet>> {
-    let per = (n as usize / SHARD_SOURCES).max(1);
-    (0..SHARD_SOURCES)
-        .map(|j| {
-            (0..per)
-                .map(|i| {
-                    let g = (i * SHARD_SOURCES + j) as u64;
-                    let t = SimTime::from_nanos(g * 4_000);
-                    if g.is_multiple_of(3) {
-                        Packet::new(t)
-                            .with_src(Ipv4Addr::new(172, 16, (j / 256) as u8, (j % 256) as u8))
-                            .with_dst(Ipv4Addr::new(198, 18, 0, 10))
-                            .with_ports(123, 4444)
-                            .with_size(1000)
-                            .with_class(ClassId(1))
-                    } else {
-                        Packet::new(t)
-                            .with_src(Ipv4Addr::new(10, (j / 256) as u8, (j % 256) as u8, 1))
-                            .with_dst(Ipv4Addr::new(20, 0, (g % 7) as u8, (g % 251) as u8))
-                            .with_ports(1024 + (g % 5000) as u16, 443)
-                            .with_size(400)
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn boxed_sources(per_source: &[Vec<Packet>]) -> Vec<Box<dyn PacketSource>> {
-    per_source
-        .iter()
-        .map(|v| Box::new(VecSource::new(v.clone())) as Box<dyn PacketSource>)
-        .collect()
-}
-
-/// Sharded-datapath throughput at `shards` generation shards: the
-/// windowed shard merge + arena-batched feature extraction + batched
-/// link ticks feeding the calendar loop, versus (reference) the
-/// pre-optimization engine — the 512-way `MergedSource` heap driving the
-/// generic per-packet-dispatch kernels. Both sides drive the
-/// [`sharded_switch`] simulation-profile pipeline over the same
-/// workload, with byte-identical output (locked down by the
-/// `tests/sharded_differential.rs` suite); the row measures what the
-/// datapath rebuild is worth end to end.
-fn bench_engine_step_sharded(h: &Harness, n: u64, shards: usize) -> BenchRow {
-    let per_source = sharded_workload(n);
-    let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
-    let cfg = engine_cfg();
-    let fast = h
-        .run_batched(
-            &format!("engine_step_sharded@{shards}/accturbo"),
-            Some(elements),
-            || (boxed_sources(&per_source), sharded_switch()),
-            |(srcs, mut sw)| {
-                let res = run_sharded(srcs, &mut sw, &cfg, shards);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(true);
-    let reference = h
-        .run_batched(
-            &format!("engine_step_sharded@{shards}/accturbo (reference)"),
-            Some(elements),
-            || {
-                (
-                    MergedSource::new(boxed_sources(&per_source)),
-                    sharded_switch(),
-                )
-            },
-            |(mut src, mut sw)| {
-                let res = run_reference(&mut src, &mut sw, &cfg);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(false);
-    row(
-        format!("engine_step_sharded@{shards}"),
-        &fast,
-        Some(&reference),
-    )
 }
 
 /// Cluster-update throughput: `assign` over the simulation profile (10
@@ -351,7 +217,7 @@ fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
 /// first fed the whole workload so the ten clusters have the stretched,
 /// overlapping shapes a scan meets mid-run, then each path re-scans
 /// every extracted feature vector. Runs the 12-feature simulation
-/// profile — the width the sharded engine rows drive the kernel at,
+/// profile — the width `xp run`'s default ACC-Turbo defense scans at,
 /// and the regime where the flat column layout pays (a 4-feature row
 /// leaves nothing for the vectorized pass to chew on).
 fn bench_cluster_scan_soa(h: &Harness, n: u64) -> BenchRow {
@@ -457,8 +323,7 @@ pub fn check_golden_identity() -> Result<(), String> {
 }
 
 /// The host's core count, recorded in the export so trajectory rows are
-/// comparable across machines (a sharded speedup on one core is pure
-/// algorithm; on many cores it could hide thread parallelism).
+/// comparable across machines.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -522,19 +387,16 @@ pub fn to_json(smoke: bool, cores: usize, rows: &[BenchRow]) -> Result<String, S
     Ok(s)
 }
 
-/// Runs the datapath benches on `h` with `n` packets each — the serial
-/// engine step, one sharded engine step per count in `shards`, the
-/// cluster kernels, and the SP-PIFO enqueue — returning the export rows
-/// (shared with the `fastpath` bench binary).
-pub fn run_rows(h: &Harness, n: u64, shards: &[usize]) -> Vec<BenchRow> {
-    let mut rows = vec![bench_engine_step(h, n)];
-    for &s in shards {
-        rows.push(bench_engine_step_sharded(h, n, s));
-    }
-    rows.push(bench_cluster_scan_soa(h, n));
-    rows.push(bench_cluster_update(h, n));
-    rows.push(bench_sppifo_enqueue(h, n));
-    rows
+/// Runs the datapath benches on `h` with `n` packets each — the engine
+/// step, the cluster kernels, and the SP-PIFO enqueue — returning the
+/// export rows (shared with the `fastpath` bench binary).
+pub fn run_rows(h: &Harness, n: u64) -> Vec<BenchRow> {
+    vec![
+        bench_engine_step(h, n),
+        bench_cluster_scan_soa(h, n),
+        bench_cluster_update(h, n),
+        bench_sppifo_enqueue(h, n),
+    ]
 }
 
 /// The `xp bench-export` entry point: identity gate, datapath benches,
@@ -544,7 +406,7 @@ pub fn run_export(args: &BenchArgs) -> Result<String, String> {
     check_golden_identity()?;
     let h = Harness::new(args.smoke, Vec::new());
     let n: u64 = if args.smoke { 4_000 } else { 20_000 };
-    let rows = run_rows(&h, n, &args.shards);
+    let rows = run_rows(&h, n);
     let json = to_json(args.smoke, host_cores(), &rows)?;
     std::fs::write(&args.out, &json).map_err(|e| format!("cannot write `{}`: {e}", args.out))?;
     for r in &rows {
@@ -579,11 +441,9 @@ mod tests {
         let d = parse_args(&[]).unwrap();
         assert!(!d.smoke);
         assert_eq!(d.out, "BENCH_datapath.json");
-        assert_eq!(d.shards, DEFAULT_SHARDS);
-        let p = parse_args(&args(&["--smoke", "--out", "x.json", "--shards", "2,16"])).unwrap();
+        let p = parse_args(&args(&["--smoke", "--out", "x.json"])).unwrap();
         assert!(p.smoke);
         assert_eq!(p.out, "x.json");
-        assert_eq!(p.shards, vec![2, 16]);
     }
 
     #[test]
@@ -594,12 +454,9 @@ mod tests {
         assert!(parse_args(&args(&["--frob"]))
             .unwrap_err()
             .contains("--frob"));
-        assert!(parse_args(&args(&["--shards", "0"]))
+        assert!(parse_args(&args(&["--shards", "8"]))
             .unwrap_err()
-            .contains("shard count"));
-        assert!(parse_args(&args(&["--shards", "2,x"]))
-            .unwrap_err()
-            .contains("shard count"));
+            .contains("--shards"));
     }
 
     #[test]
@@ -626,22 +483,13 @@ mod tests {
     fn registry_resolves_every_producible_row_and_nothing_else() {
         for name in [
             "engine_step",
-            "engine_step_sharded@1",
-            "engine_step_sharded@8",
-            "engine_step_sharded@64",
             "cluster_scan_soa",
             "cluster_update",
             "sppifo_enqueue",
         ] {
             assert!(is_registered(name), "{name} must resolve");
         }
-        for name in [
-            "engine_step_sharded@0",
-            "engine_step_sharded@",
-            "engine_step_sharded@two",
-            "cluster_scan",
-            "made_up_bench",
-        ] {
+        for name in ["engine_step_sharded@8", "cluster_scan", "made_up_bench"] {
             assert!(!is_registered(name), "{name} must not resolve");
         }
     }

@@ -66,8 +66,8 @@ pub fn usage() -> String {
          \x20                                workload x defense combination, not\n\
          \x20                                just the paper's. Keys: workload\n\
          \x20                                (required), defense (default fifo),\n\
-         \x20                                link (10m/2.5g/bps), secs, seed,\n\
-         \x20                                period (250ms/1s), topology\n\
+         \x20                                link (10m/2.5g/bps, 1k..100g), secs,\n\
+         \x20                                seed, period (250ms/1s), topology\n\
          \x20                                (line:N/star:N/fattree:K/isp-edge\n\
          \x20                                with :delay= :uplink= :attackers=\n\
          \x20                                :edges=same :pushback=on :refresh=),\n\
@@ -437,10 +437,23 @@ impl RunCmd {
     }
 }
 
-/// Parses a bandwidth value: plain bps, or with a `k`/`m`/`g` suffix
-/// (`10m` = 10 Mbps, `2.5g` = 2.5 Gbps).
-fn parse_link(v: &str) -> Result<u64, String> {
-    crate::spec::parse_bandwidth(v).map_err(|e| format!("xp run: {e}"))
+/// The bottleneck bandwidths `link=` accepts: 1 kbps to 100 Gbps. The
+/// Fig. 2/3 sources run at fractions and multiples of the link: far
+/// below the floor a CBR aggregate's rate rounds to 0 bps, far above the
+/// ceiling the rates overflow or a packet gap rounds to 0 ns.
+const LINK_BPS_RANGE: std::ops::RangeInclusive<u64> = 1_000..=100_000_000_000;
+
+/// Parses a bottleneck bandwidth for `cmd` (`xp run` / `xp search`):
+/// plain bps, or with a `k`/`m`/`g` suffix (`10m` = 10 Mbps, `2.5g` =
+/// 2.5 Gbps), within [`LINK_BPS_RANGE`].
+fn parse_link(cmd: &str, v: &str) -> Result<u64, String> {
+    let bps = crate::spec::parse_bandwidth(v).map_err(|e| format!("{cmd}: {e}"))?;
+    if !LINK_BPS_RANGE.contains(&bps) {
+        return Err(format!(
+            "{cmd}: link `{v}` is outside the supported range 1k..=100g"
+        ));
+    }
+    Ok(bps)
 }
 
 /// Parses a control period: `250ms`, `1s`, or bare seconds (`0.25`).
@@ -472,7 +485,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     let mut link: Option<u64> = None;
     let mut period: Option<SimDuration> = None;
     let mut topology: Option<TopologySpec> = None;
-    let mut shards: Option<usize> = None;
     let mut fault_mix: Vec<(String, f64)> = Vec::new();
     let mut sink: Option<String> = None;
     let mut dataset: Option<String> = None;
@@ -548,25 +560,16 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
                                 .map_err(|_| format!("xp run: `{val}` is not a u64 seed"))?,
                         );
                     }
-                    "link" => link = Some(parse_link(val)?),
+                    "link" => link = Some(parse_link("xp run", val)?),
                     "period" => period = Some(parse_period(val)?),
                     "topology" => {
                         topology = Some(val.parse().map_err(|e| format!("xp run: topology: {e}"))?)
-                    }
-                    "shards" => {
-                        let n: usize = val
-                            .parse()
-                            .map_err(|_| format!("xp run: `{val}` is not a shard count"))?;
-                        if n == 0 {
-                            return Err("xp run: shards must be at least 1".to_string());
-                        }
-                        shards = Some(n);
                     }
                     "faults" => fault_mix = parse_fault_mix("xp run: faults", val, '+')?,
                     other => {
                         return Err(format!(
                             "xp run: unknown key `{other}`; valid keys: workload, defense, \
-                             link, secs, seed, period, topology, shards, faults"
+                             link, secs, seed, period, topology, faults"
                         ));
                     }
                 }
@@ -591,26 +594,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
                     `topology=line:1`; drop --sink/--dataset/--flight-recorder or topology="
                 .to_string(),
         );
-    }
-    let shard_count = shards.unwrap_or(1);
-    if shard_count > 1 {
-        if topology.is_some() {
-            return Err(
-                "xp run: the sharded datapath runs the single defended switch; \
-                        drop shards= or topology="
-                    .to_string(),
-            );
-        }
-        if !fault_mix.is_empty() {
-            return Err("xp run: the sharded datapath has no fault plane; \
-                        drop shards= or faults="
-                .to_string());
-        }
-        if wants_telemetry {
-            return Err("xp run: streaming telemetry runs the serial engine; \
-                        drop --sink/--dataset/--flight-recorder or shards="
-                .to_string());
-        }
     }
     let quick_secs = workload.default_secs(Scale::Quick);
     let mut spec = ScenarioSpec::new(workload, defense);
@@ -639,9 +622,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     }
     if let Some(t) = topology {
         spec = spec.with_topology(t);
-    }
-    if shard_count > 1 {
-        spec = spec.with_shards(shard_count);
     }
     if !fault_mix.is_empty() {
         let fault_seed = spec.seed;
@@ -1014,12 +994,7 @@ pub fn parse_search(args: &[String]) -> Result<SearchCmd, String> {
                         }
                         secs = Some(n);
                     }
-                    "link" => {
-                        link_bps = Some(
-                            crate::spec::parse_bandwidth(val)
-                                .map_err(|e| format!("xp search: {e}"))?,
-                        )
-                    }
+                    "link" => link_bps = Some(parse_link("xp search", val)?),
                     other => {
                         return Err(format!(
                             "xp search: unknown key `{other}`; valid keys: defense, secs, link"
@@ -1447,36 +1422,55 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
+    /// `link=1` would make every Fig. 2 CBR aggregate a 0 bps source.
     #[test]
-    fn run_parses_and_polices_shards() {
-        let cmd = parse_run(&args(&["workload=fig2", "shards=8"])).unwrap();
-        assert_eq!(cmd.spec.shards, 8);
+    fn run_rejects_a_link_below_the_range() {
+        let err = parse_run(&args(&["workload=fig2", "link=1"])).unwrap_err();
+        assert!(err.contains("outside the supported range"), "{err}");
+        let ok = parse_run(&args(&["workload=fig2", "link=1k"])).unwrap();
+        assert_eq!(ok.spec.link_bps, *LINK_BPS_RANGE.start());
+    }
 
-        let cmd = parse_run(&args(&["workload=fig2", "shards=1"])).unwrap();
-        assert_eq!(cmd.spec.shards, 1, "shards=1 is the serial engine");
+    /// `link=u64::MAX` would give the Fig. 2 sources a 0 ns packet gap.
+    #[test]
+    fn run_rejects_a_link_above_the_range() {
+        let err = parse_run(&args(&["workload=fig2", "link=18446744073709551615"])).unwrap_err();
+        assert!(err.contains("outside the supported range"), "{err}");
+        let ok = parse_run(&args(&["workload=fig2", "link=100g"])).unwrap();
+        assert_eq!(ok.spec.link_bps, *LINK_BPS_RANGE.end());
+    }
 
-        let err = parse_run(&args(&["workload=fig2", "shards=0"])).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
+    /// Both ends of the accepted range build working sources for every
+    /// workload (the `link=` floor and ceiling are about the sources).
+    #[test]
+    fn every_workload_generates_at_both_ends_of_the_link_range() {
+        for w in [
+            "fig2",
+            "fig3",
+            "fig6",
+            "fig7",
+            "background",
+            "elephant",
+            "flood",
+            "pulse",
+            "adversarial:imitate",
+            "cicday",
+        ] {
+            for link in [LINK_BPS_RANGE.start(), LINK_BPS_RANGE.end()] {
+                let spec: crate::spec::WorkloadSpec = w.parse().unwrap();
+                let mut src = spec.build(*link, 60, 1);
+                let n = std::iter::from_fn(|| src.next_packet()).take(1_000).count();
+                assert!(n > 0, "{w} at link={link} generated nothing");
+            }
+        }
+    }
 
-        let err = parse_run(&args(&["workload=fig2", "shards=2", "topology=line:2"])).unwrap_err();
-        assert!(err.contains("drop shards= or topology="), "{err}");
-
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "shards=2",
-            "faults=ctrl_drop:0.5",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("drop shards= or faults="), "{err}");
-
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "shards=2",
-            "--sink",
-            "/tmp/x.jsonl",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("or shards="), "{err}");
+    /// The flood attack starts at 5 s; a shorter run is benign-only.
+    #[test]
+    fn run_executes_a_flood_shorter_than_its_attack_onset() {
+        let cmd = parse_run(&args(&["workload=flood", "secs=3"])).unwrap();
+        let out = render_run(&cmd).unwrap();
+        assert!(out.contains("conservation,ok"), "{out}");
     }
 
     #[test]
@@ -1522,6 +1516,7 @@ mod tests {
             (vec!["workload=fig2", "--frob"], "unknown option `--frob`"),
             (vec!["workload=fig2", "frob"], "expected `key=value`"),
             (vec!["workload=fig2", "frob=1"], "unknown key `frob`"),
+            (vec!["workload=fig2", "shards=8"], "unknown key `shards`"),
             (vec!["workload=nope"], "workload"),
             (vec!["workload=fig2", "secs=0"], "secs must be at least 1"),
             (vec!["workload=fig2", "link=-3m"], "must be positive"),

@@ -7,8 +7,8 @@
 
 use crate::result::FigureResult;
 use accturbo_netsim::{
-    run, run_instrumented, run_streamed, run_with_faults, ClassId, EngineConfig, FaultInjector,
-    NoopFaultInjector, PacketSource, RunResult, ShardedEngine, SimDuration, Switch,
+    run_instrumented, run_streamed, ClassId, EngineConfig, FaultInjector, NoopFaultInjector,
+    PacketSource, RunResult, SimDuration, Switch,
 };
 use accturbo_obs::{MetricsHandle, NoopTracer, Telemetry, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,16 +44,18 @@ pub fn baseline_fifo() -> accturbo_netsim::FifoQueue {
     accturbo_netsim::FifoQueue::new(512 * 1024).with_pkt_cap(775)
 }
 
-/// Process-global test toggle: when set, every [`simulate`] call routes
-/// through the fault-injection engine entry with an explicit no-op
-/// injector instead of the plain `run`.
+/// Process-global test toggle: when set, every fault-free
+/// [`simulate_streamed`] call (and so every [`simulate`] and every
+/// fault-free `ScenarioSpec` run) threads an explicit no-op injector
+/// through the engine's fault plane.
 static FORCE_NOOP_FAULTS: AtomicBool = AtomicBool::new(false);
 
-/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): flips
-/// [`simulate`] onto the `run_with_faults(…, Some(noop))` path so the
-/// differential test can assert that threading a do-nothing injector
-/// through every figure leaves the output byte-identical. Process-global
-/// — tests using it must not run concurrently with other figure runs.
+/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): routes
+/// every fault-free run through the fault plane with a no-op injector,
+/// so the differential test can assert that threading a do-nothing
+/// injector through every figure leaves the output byte-identical.
+/// Process-global — tests using it must not run concurrently with other
+/// figure runs.
 pub fn force_noop_fault_injection(on: bool) {
     FORCE_NOOP_FAULTS.store(on, Ordering::SeqCst);
 }
@@ -64,6 +66,8 @@ fn engine_config(link_bps: u64, secs: u64, control_period: Option<SimDuration>) 
 
 /// Runs `source` through `switch` with the standard experiment engine:
 /// 1-second stats buckets, the given control period, hard stop at `secs`.
+/// Untraced: the engine monomorphizes on [`NoopTracer`], so no tracing
+/// branch survives in the loop.
 pub fn simulate(
     source: &mut dyn PacketSource,
     switch: &mut dyn Switch,
@@ -71,51 +75,17 @@ pub fn simulate(
     secs: u64,
     control_period: Option<SimDuration>,
 ) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    if FORCE_NOOP_FAULTS.load(Ordering::SeqCst) {
-        let noop: FaultInjector = NoopFaultInjector.into();
-        return run_with_faults(source, switch, &cfg, &mut NoopTracer, None, Some(&noop));
-    }
-    run(source, switch, &cfg)
-}
-
-/// [`simulate`] on the sharded datapath: the stream is partitioned by
-/// flow hash across `shards` windowed generations (feature extraction
-/// batched per shard into the packet arena) and consumed by the same
-/// serial event loop — byte-identical to [`simulate`] for every shard
-/// count, including `1` (see `accturbo_netsim::shard`). The sharded
-/// path carries no fault plane, so the fault-noop lockdown toggle does
-/// not apply here.
-pub fn simulate_sharded(
-    mut source: Box<dyn PacketSource>,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    shards: usize,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    if shards <= 1 {
-        return run(&mut *source, switch, &cfg);
-    }
-    ShardedEngine::new(shards).run_stream(source, switch, &cfg)
-}
-
-/// [`simulate`] with a fault plane: the engine consults `faults` for
-/// control-tick suppression/delay and link flaps. Packet-level faults
-/// are the caller's job — wrap the source in a
-/// [`accturbo_netsim::FaultedSource`] holding a clone of the same
-/// injector.
-pub fn simulate_with_faults(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    faults: &FaultInjector,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    run_with_faults(source, switch, &cfg, &mut NoopTracer, None, Some(faults))
+    simulate_streamed(
+        source,
+        switch,
+        link_bps,
+        secs,
+        control_period,
+        &mut NoopTracer,
+        None,
+        None,
+        None,
+    )
 }
 
 /// [`simulate`] with observability: engine-side events go to `tracer`,
@@ -135,10 +105,13 @@ pub fn simulate_instrumented<T: Tracer + ?Sized>(
     run_instrumented(source, switch, &cfg, tracer, metrics)
 }
 
-/// [`simulate`] with the full streaming-telemetry plumbing: optional
-/// fault plane, engine tracer (share a flight-recorder handle with the
-/// switch to get one interleaved incident timeline), engine metrics,
-/// and the [`Telemetry`] bundle driven at every stats boundary. With
+/// [`simulate`] with the full plumbing: optional fault plane (the
+/// engine consults it for control-tick suppression/delay and link
+/// flaps; packet-level faults are the caller's job — wrap the source in
+/// a [`accturbo_netsim::FaultedSource`] holding a clone of the same
+/// injector), engine tracer (share a flight-recorder handle with the
+/// switch to get one interleaved incident timeline), engine metrics, and
+/// the [`Telemetry`] bundle driven at every stats boundary. With
 /// `telemetry == None` this is byte-identical to the corresponding
 /// non-streamed path.
 #[allow(clippy::too_many_arguments)]
@@ -154,6 +127,14 @@ pub fn simulate_streamed<T: Tracer + ?Sized>(
     telemetry: Option<&mut Telemetry>,
 ) -> RunResult {
     let cfg = engine_config(link_bps, secs, control_period);
+    let noop: FaultInjector;
+    let faults = match faults {
+        None if FORCE_NOOP_FAULTS.load(Ordering::SeqCst) => {
+            noop = NoopFaultInjector.into();
+            Some(&noop)
+        }
+        given => given,
+    };
     run_streamed(source, switch, &cfg, tracer, metrics, faults, telemetry)
 }
 

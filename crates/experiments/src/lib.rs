@@ -54,9 +54,12 @@ pub struct Figure {
 
 impl Figure {
     /// Pairs a rendered report with its result, appending the
-    /// `rendered_fnv` digest field.
+    /// `rendered_fnv` digest field: FNV-1a of the full report, so *any*
+    /// drift in it (including series a summary field misses) fails the
+    /// snapshot.
     pub fn new(rendered: String, mut result: FigureResult) -> Self {
-        result.int("rendered_fnv", result::fnv1a64(&rendered));
+        let digest = accturbo_netsim::fnv1a64(rendered.as_bytes()) as i64;
+        result.int("rendered_fnv", digest);
         Figure { rendered, result }
     }
 }

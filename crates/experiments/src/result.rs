@@ -274,18 +274,6 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// FNV-1a (64-bit) of a string — the rendered-report digest stored as a
-/// golden backstop field, so *any* drift in the full report (including
-/// series a summary field misses) fails the snapshot.
-pub fn fnv1a64(s: &str) -> i64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h as i64
-}
-
 /// The mean/min/max aggregate of numeric fields across several same-figure
 /// results (one per seed) — the `--seeds` summary block. Non-numeric
 /// fields are skipped; fields are reported in the first result's order.
@@ -378,12 +366,6 @@ mod tests {
         assert!(FigureResult::parse_golden("nope").is_err());
         assert!(FigureResult::parse_golden("figure x\nnum k abc tol 1e-9").is_err());
         assert!(FigureResult::parse_golden("figure x\nblob k 1").is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable_and_sensitive() {
-        assert_eq!(fnv1a64(""), 0xcbf29ce484222325u64 as i64);
-        assert_ne!(fnv1a64("a"), fnv1a64("b"));
     }
 
     #[test]

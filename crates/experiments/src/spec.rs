@@ -10,10 +10,10 @@
 //!   it ([`DefenseSpec::build`]) and what control-plane period it
 //!   naturally wants ([`DefenseSpec::control_period`]).
 //! * [`ScenarioSpec`] — the full sentence, with one [`execute`]
-//!   entry point routing through the same engine paths
-//!   (`common::simulate` / `simulate_with_faults`) the figures have
-//!   always used, so spec-driven runs are byte-identical to the
-//!   hand-rolled ones they replaced.
+//!   entry point: a topology runs the multi-switch loop, everything else
+//!   one single-switch run through `common::simulate_streamed`, so
+//!   spec-driven runs are byte-identical to the hand-rolled ones they
+//!   replaced.
 //!
 //! Both spec types round-trip through a colon-separated textual grammar
 //! (`accturbo:profile=hw:clusters=8`, `flood:carpet`, …) — the `xp run`
@@ -23,10 +23,7 @@
 //!
 //! [`execute`]: ScenarioSpec::execute
 
-use crate::common::{
-    baseline_fifo, simulate, simulate_sharded, simulate_streamed, simulate_with_faults, Scale,
-    LINK_10G_SCALED,
-};
+use crate::common::{baseline_fifo, simulate_streamed, Scale, LINK_10G_SCALED};
 use accturbo_acc::{AccConfig, AccSwitch};
 use accturbo_clustering::{DistanceKind, FeatureSet, InitMode, NominalMode, RepMode, SearchKind};
 use accturbo_core::{AccTurboConfig, AccTurboSwitch, IdealPifoSwitch, RankedAccTurboSwitch};
@@ -1439,10 +1436,9 @@ pub struct ScenarioSpec {
     pub faults: Option<FaultConfig>,
     /// Multi-switch topology (`None` = the classic single switch).
     pub topology: Option<TopologySpec>,
-    /// Datapath shard count (`1` = the classic serial engine). Higher
-    /// counts route through the sharded engine — byte-identical output
-    /// by construction. Only the plain single-switch path shards;
-    /// combining `shards>1` with faults or a topology is rejected.
+    /// Always `1`: there is one datapath, with no setter and no grammar
+    /// key. The field exists only because the scenario benchmark reads
+    /// it (`perfbench/src/check.rs:22`), which must keep building.
     pub shards: usize,
 }
 
@@ -1520,12 +1516,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Runs the datapath with `shards` generation shards (`1` = serial).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// The control period this scenario will run with.
     pub fn effective_period(&self) -> Option<SimDuration> {
         self.control_period
@@ -1543,10 +1533,6 @@ impl ScenarioSpec {
         assert!(
             self.faults.is_none(),
             "the fault plane is not topology-aware; drop faults= or topology="
-        );
-        assert!(
-            self.shards == 1,
-            "the sharded datapath runs the single defended switch; drop shards= or topology="
         );
         let topo = tspec.build(self.link_bps);
         let uplink = tspec.uplink(self.link_bps);
@@ -1577,7 +1563,8 @@ impl ScenarioSpec {
         )
     }
 
-    /// Runs the scenario through the standard engine paths.
+    /// Runs the scenario: on its topology when it has one, otherwise
+    /// through the single-switch engine.
     pub fn execute(&self) -> ScenarioOutcome {
         if self.topology.is_some() {
             let t = self.execute_topology();
@@ -1590,98 +1577,19 @@ impl ScenarioSpec {
                 fallbacks: 0,
             };
         }
-        let period = self.effective_period();
-        assert!(
-            self.shards == 1 || self.faults.is_none(),
-            "the sharded datapath has no fault plane; drop shards= or faults="
-        );
-        match &self.faults {
-            None => {
-                let mut sw = self.defense.build(self.link_bps);
-                let src = self.workload.build(self.link_bps, self.secs, self.seed);
-                let result = if self.shards > 1 {
-                    simulate_sharded(src, &mut *sw, self.link_bps, self.secs, period, self.shards)
-                } else {
-                    let mut src = src;
-                    simulate(&mut *src, &mut *sw, self.link_bps, self.secs, period)
-                };
-                ScenarioOutcome {
-                    backlog_pkts: sw.backlog_pkts(),
-                    result,
-                    fault_stats: None,
-                    missed_ticks: 0,
-                    stale_ticks: 0,
-                    fallbacks: 0,
-                }
-            }
-            Some(fc) => {
-                let inj = FaultInjector::new(FaultSchedule::new(fc.clone()));
-                // ACC-Turbo exposes graceful-degradation hooks the boxed
-                // `Switch` trait cannot carry — wire them concretely.
-                if let DefenseSpec::AccTurbo(spec) = &self.defense {
-                    let mut sw = spec.build();
-                    sw.set_faults(inj.clone());
-                    let mut src = FaultedSource::new(
-                        self.workload.build(self.link_bps, self.secs, self.seed),
-                        inj.clone(),
-                    );
-                    let result = simulate_with_faults(
-                        &mut src,
-                        &mut sw,
-                        self.link_bps,
-                        self.secs,
-                        period,
-                        &inj,
-                    );
-                    let (missed, stale, fallbacks) = {
-                        let d = sw.degradation();
-                        (d.total_missed(), d.total_stale(), d.fallbacks())
-                    };
-                    ScenarioOutcome {
-                        backlog_pkts: sw.backlog_pkts(),
-                        result,
-                        fault_stats: Some(inj.stats()),
-                        missed_ticks: missed,
-                        stale_ticks: stale,
-                        fallbacks,
-                    }
-                } else {
-                    let mut sw = self.defense.build(self.link_bps);
-                    let mut src = FaultedSource::new(
-                        self.workload.build(self.link_bps, self.secs, self.seed),
-                        inj.clone(),
-                    );
-                    let result = simulate_with_faults(
-                        &mut src,
-                        &mut *sw,
-                        self.link_bps,
-                        self.secs,
-                        period,
-                        &inj,
-                    );
-                    ScenarioOutcome {
-                        backlog_pkts: sw.backlog_pkts(),
-                        result,
-                        fault_stats: Some(inj.stats()),
-                        missed_ticks: 0,
-                        stale_ticks: 0,
-                        fallbacks: 0,
-                    }
-                }
-            }
-        }
+        self.run_single_switch(&mut NoopTracer, None)
     }
 
     /// [`ScenarioSpec::execute`] with a streaming-telemetry bundle.
     ///
-    /// With `telemetry == None` this delegates to [`execute`]
-    /// (byte-identical, keeping the goldens honest). When streaming, the
-    /// engine gets a fresh metrics registry so the aggregation stage has
-    /// per-period counters/gauges/histograms to delta; an ACC-Turbo
-    /// defense additionally shares that registry (control-loop timing,
-    /// queue depths, degradation gauges) and — when the bundle carries a
-    /// flight recorder — installs the recorder as its tracer so switch
-    /// and engine events land in one incident timeline.
+    /// With `telemetry == None` this is [`execute`] (byte-identical,
+    /// keeping the goldens honest). When streaming, the engine gets a
+    /// fresh metrics registry so the aggregation stage has per-period
+    /// counters/gauges/histograms to delta; an ACC-Turbo defense
+    /// additionally shares that registry (control-loop timing, queue
+    /// depths, degradation gauges) and — when the bundle carries a
+    /// flight recorder — the recorder is both the engine's and the
+    /// switch's tracer, so their events land in one incident timeline.
     ///
     /// [`execute`]: ScenarioSpec::execute
     pub fn execute_streamed(&self, telemetry: Option<&mut Telemetry>) -> ScenarioOutcome {
@@ -1694,85 +1602,86 @@ impl ScenarioSpec {
             self.topology.is_none(),
             "streaming telemetry is not topology-aware; drop the telemetry flags or topology="
         );
-        assert!(
-            self.shards == 1,
-            "streaming telemetry runs the serial engine; drop the telemetry flags or shards="
-        );
-        let period = self.effective_period();
-        let metrics: MetricsHandle = Rc::new(RefCell::new(Registry::new()));
-        let recorder = tel.recorder_handle();
-        let mut engine_tracer: Box<dyn Tracer> = match &recorder {
-            Some(rec) => Box::new(rec.clone()),
-            None => Box::new(NoopTracer),
-        };
+        match tel.recorder_handle() {
+            Some(mut rec) => self.run_single_switch(&mut rec, Some(tel)),
+            None => self.run_single_switch(&mut NoopTracer, Some(tel)),
+        }
+    }
+
+    /// The one single-switch run: builds the defense and the workload,
+    /// wraps the source in the fault plane when faults are set, and
+    /// makes exactly one engine call. `tracer` receives the engine's
+    /// events; the untraced run passes [`NoopTracer`], which the engine
+    /// monomorphizes away.
+    ///
+    /// ACC-Turbo is built concretely, because its fault, metrics and
+    /// tracer hooks and its degradation counters are not part of the
+    /// boxed `Switch` trait; every other defense goes through
+    /// [`DefenseSpec::build`].
+    fn run_single_switch<T: Tracer + ?Sized>(
+        &self,
+        tracer: &mut T,
+        telemetry: Option<&mut Telemetry>,
+    ) -> ScenarioOutcome {
         let inj = self
             .faults
             .as_ref()
             .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
-        if let DefenseSpec::AccTurbo(spec) = &self.defense {
-            let mut sw = spec.build();
-            sw.set_metrics(Rc::clone(&metrics));
+        let metrics: Option<MetricsHandle> = telemetry
+            .is_some()
+            .then(|| Rc::new(RefCell::new(Registry::new())));
+        let recorder = telemetry.as_ref().and_then(|t| t.recorder_handle());
+
+        let mut accturbo = match &self.defense {
+            DefenseSpec::AccTurbo(spec) => Some(spec.build()),
+            _ => None,
+        };
+        if let Some(sw) = &mut accturbo {
+            if let Some(m) = &metrics {
+                sw.set_metrics(Rc::clone(m));
+            }
             if let Some(rec) = &recorder {
                 sw.set_tracer(Box::new(rec.clone()));
             }
             if let Some(inj) = &inj {
                 sw.set_faults(inj.clone());
             }
-            let mut src: Box<dyn PacketSource> = {
-                let inner = self.workload.build(self.link_bps, self.secs, self.seed);
-                match &inj {
-                    Some(inj) => Box::new(FaultedSource::new(inner, inj.clone())),
-                    None => inner,
-                }
-            };
-            let result = simulate_streamed(
-                &mut *src,
-                &mut sw,
-                self.link_bps,
-                self.secs,
-                period,
-                &mut *engine_tracer,
-                Some(&metrics),
-                inj.as_ref(),
-                Some(tel),
-            );
-            let d = sw.degradation().counters();
-            ScenarioOutcome {
-                backlog_pkts: sw.backlog_pkts(),
-                result,
-                fault_stats: inj.map(|i| i.stats()),
-                missed_ticks: d.total_missed,
-                stale_ticks: d.total_stale,
-                fallbacks: d.fallbacks,
+        }
+        let mut boxed;
+        let sw: &mut dyn Switch = match &mut accturbo {
+            Some(sw) => sw,
+            None => {
+                boxed = self.defense.build(self.link_bps);
+                &mut *boxed
             }
-        } else {
-            let mut sw = self.defense.build(self.link_bps);
-            let mut src: Box<dyn PacketSource> = {
-                let inner = self.workload.build(self.link_bps, self.secs, self.seed);
-                match &inj {
-                    Some(inj) => Box::new(FaultedSource::new(inner, inj.clone())),
-                    None => inner,
-                }
-            };
-            let result = simulate_streamed(
-                &mut *src,
-                &mut *sw,
-                self.link_bps,
-                self.secs,
-                period,
-                &mut *engine_tracer,
-                Some(&metrics),
-                inj.as_ref(),
-                Some(tel),
-            );
-            ScenarioOutcome {
-                backlog_pkts: sw.backlog_pkts(),
-                result,
-                fault_stats: inj.map(|i| i.stats()),
-                missed_ticks: 0,
-                stale_ticks: 0,
-                fallbacks: 0,
-            }
+        };
+
+        let mut src = self.workload.build(self.link_bps, self.secs, self.seed);
+        if let Some(inj) = &inj {
+            src = Box::new(FaultedSource::new(src, inj.clone()));
+        }
+        let result = simulate_streamed(
+            &mut *src,
+            sw,
+            self.link_bps,
+            self.secs,
+            self.effective_period(),
+            tracer,
+            metrics.as_ref(),
+            inj.as_ref(),
+            telemetry,
+        );
+        let backlog_pkts = sw.backlog_pkts();
+        let d = accturbo
+            .map(|sw| sw.degradation().counters())
+            .unwrap_or_default();
+        ScenarioOutcome {
+            backlog_pkts,
+            result,
+            fault_stats: inj.map(|i| i.stats()),
+            missed_ticks: d.total_missed,
+            stale_ticks: d.total_stale,
+            fallbacks: d.fallbacks,
         }
     }
 }
@@ -1789,9 +1698,6 @@ impl fmt::Display for ScenarioSpec {
         }
         if let Some(t) = &self.topology {
             write!(out, " topology={t}")?;
-        }
-        if self.shards != 1 {
-            write!(out, " shards={}", self.shards)?;
         }
         Ok(())
     }

@@ -92,12 +92,6 @@ impl EventCalendar {
         self.when[slot as usize] != SimTime::MAX
     }
 
-    /// The firing time of `slot`, if scheduled.
-    pub fn scheduled_at(&self, slot: EventSlot) -> Option<SimTime> {
-        let t = self.when[slot as usize];
-        (t != SimTime::MAX).then_some(t)
-    }
-
     /// The earliest scheduled event, if any. Ties resolve in
     /// [`EventSlot`] priority order: `Tx` before `Control` before
     /// `Arrival`.

@@ -27,14 +27,13 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod latency;
 pub mod packet;
 pub mod queue;
 pub mod rate;
-pub mod shard;
 pub mod source;
 pub mod stats;
 pub mod switch;
@@ -43,17 +42,16 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use arena::{PacketArena, PacketHandle};
 pub use engine::{run, run_instrumented, run_streamed, run_with_faults, EngineConfig, RunResult};
 pub use fault::{
     ControlAction, FaultConfig, FaultInjector, FaultRecord, FaultSchedule, FaultStats,
     FaultedSource, NoopFaultInjector, PktFate,
 };
+pub use hash::fnv1a64;
 pub use latency::DelayHistogram;
 pub use packet::{ClassId, DropReason, Dropped, FiveTuple, Packet};
 pub use queue::{FifoQueue, PifoQueue, PriorityBank, QueueDiscipline, RedConfig, RedQueue};
 pub use rate::{EwmaRate, TokenBucket};
-pub use shard::{flow_shard, fnv1a64, run_sharded, source_shard, ShardedEngine, ShardedSource};
 pub use source::{IterSource, MergedSource, PacketSource, VecSource};
 pub use stats::{Counts, StatsCollector};
 pub use switch::{FeatureExtractor, ProgramSwapSwitch, SingleQueueSwitch, Switch};

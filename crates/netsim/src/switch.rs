@@ -17,9 +17,8 @@ use std::sync::Arc;
 pub type ExtractFn = Arc<dyn Fn(&Packet, &mut Vec<u32>) + Send + Sync>;
 
 /// A pure per-packet feature extractor a switch can expose (see
-/// [`Switch::feature_extractor`]) so the sharded engine can precompute the
-/// classification features of a whole arrival window into the packet
-/// arena's feature column — per shard, off the serial event loop.
+/// [`Switch::feature_extractor`]), so a caller can compute classification
+/// features ahead of ingress.
 ///
 /// The closure must be a pure function of the packet: calling it twice on
 /// the same packet yields the same values, and extraction order carries no
@@ -83,10 +82,9 @@ pub trait Switch {
     }
 
     /// The pure feature extractor of this switch's classification stage,
-    /// if it has one. When `Some`, the sharded engine precomputes feature
-    /// columns per shard and delivers packets via
-    /// [`ingress_featured`](Self::ingress_featured); when `None` (the
-    /// default) it falls back to plain [`ingress`](Self::ingress).
+    /// if it has one. No switch in the workspace exposes one and no
+    /// engine asks; the hook stays because the scenario benchmark's
+    /// switch probe (`perfbench/src/probe.rs`) forwards it.
     fn feature_extractor(&self) -> Option<FeatureExtractor> {
         None
     }

@@ -9,8 +9,7 @@
 use accturbo_netsim::engine::{run, EngineConfig};
 use accturbo_netsim::topology::{run_topology, LinkSpec, Topology, TopologyConfig};
 use accturbo_netsim::{
-    run_sharded, Bandwidth, FifoQueue, Packet, PacketSource, SimDuration, SimTime,
-    SingleQueueSwitch, Switch, VecSource,
+    Bandwidth, FifoQueue, Packet, SimDuration, SimTime, SingleQueueSwitch, Switch, VecSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,51 +72,6 @@ fn engine_steady_state_does_not_allocate() {
     assert!(
         large <= small + 64,
         "allocations scale with packet count: {small} allocs for 2k pkts, {large} for 8k"
-    );
-}
-
-/// Allocation count of one sharded run (4 sources, 4 shards) over `n`
-/// total packets. The arena columns, per-shard buffers and window heap
-/// all warm up during the first window; after that the only allowed
-/// growth is sublinear (stats buckets).
-fn allocs_during_sharded_run(n: u64) -> u64 {
-    let per_source = (n / 4) as usize;
-    let sources: Vec<Box<dyn PacketSource>> = (0..4u64)
-        .map(|j| {
-            let packets: Vec<Packet> = (0..per_source as u64)
-                .map(|i| {
-                    let g = i * 4 + j;
-                    Packet::new(SimTime::from_nanos(g * 50_000))
-                        .with_size(1000)
-                        .with_src([10, j as u8, 0, 1].into())
-                })
-                .collect();
-            Box::new(VecSource::new(packets)) as Box<dyn PacketSource>
-        })
-        .collect();
-    let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
-    let cfg = EngineConfig::new(Bandwidth::from_mbps(20))
-        .with_stats_interval(SimDuration::from_secs(10))
-        .with_control_period(SimDuration::from_millis(10));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let res = run_sharded(sources, &mut sw, &cfg, 4);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(res.arrivals, (per_source * 4) as u64, "workload must run");
-    after - before
-}
-
-#[test]
-fn sharded_engine_steady_state_does_not_allocate() {
-    let _guard = MEASURE.lock().unwrap();
-    let _ = allocs_during_sharded_run(400);
-    let small = allocs_during_sharded_run(2_000);
-    let large = allocs_during_sharded_run(8_000);
-    // The packet arena and window-merge state must reach a fixed point:
-    // 4x the packets may not mean 4x the allocations.
-    assert!(
-        large <= small + 64,
-        "sharded datapath allocations scale with packet count: \
-         {small} allocs for 2k pkts, {large} for 8k"
     );
 }
 

@@ -73,12 +73,12 @@ pub struct CbrSource {
 }
 
 impl CbrSource {
-    /// Creates a CBR source at `rate_bps` from `start` to `end`.
+    /// Creates a CBR source at `rate_bps` from `start` to `end`. An empty
+    /// window (`end <= start`) yields no packets.
     ///
-    /// Panics when the rate or window is degenerate.
+    /// Panics when the rate is zero or too high for the packet size.
     pub fn new(template: FlowTemplate, rate_bps: u64, start: SimTime, end: SimTime) -> Self {
         assert!(rate_bps > 0, "CBR rate must be positive");
-        assert!(end > start, "CBR window must be non-empty");
         let gap = SimDuration::from_nanos(
             (template.size as u128 * 8 * 1_000_000_000 / rate_bps as u128) as u64,
         );

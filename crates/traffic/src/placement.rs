@@ -9,7 +9,7 @@
 //! (ground-truth `class != 0`) is confined to a configurable attacker
 //! subset, which is how the topology figure dials attack dispersion.
 
-use accturbo_netsim::Packet;
+use accturbo_netsim::{fnv1a64, Packet};
 
 /// Maps packets to leaf ordinals (`0..leaves`) by source-address hash.
 #[derive(Debug, Clone)]
@@ -18,16 +18,6 @@ pub struct LeafPlacement {
     /// Leaf ordinals that host attack sources; empty = attackers spread
     /// over all leaves like everyone else.
     attackers: Vec<usize>,
-}
-
-/// FNV-1a, the same cheap deterministic hash used by the sketch layers.
-fn fnv1a(ip: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in ip.to_be_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl LeafPlacement {
@@ -45,7 +35,7 @@ impl LeafPlacement {
 
     /// The leaf ordinal for `pkt`.
     pub fn place(&self, pkt: &Packet) -> usize {
-        let h = fnv1a(u32::from(pkt.src));
+        let h = fnv1a64(&pkt.src.octets());
         if pkt.class.is_attack() && !self.attackers.is_empty() {
             self.attackers[(h % self.attackers.len() as u64) as usize]
         } else {

@@ -249,9 +249,10 @@ pub struct AttackSource {
 }
 
 impl AttackSource {
-    /// Creates the stream. Panics on a degenerate window or rate.
+    /// Creates the stream. An empty window (`end <= start`) yields no
+    /// packets, so a run that ends before the attack's onset is
+    /// benign-only. Panics on a zero rate.
     pub fn new(cfg: AttackConfig) -> Self {
-        assert!(cfg.end > cfg.start, "attack window must be non-empty");
         assert!(cfg.rate_bps > 0, "attack rate must be positive");
         let rng = StdRng::seed_from_u64(cfg.seed);
         let mean_size = match cfg.vector {

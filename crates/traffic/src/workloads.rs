@@ -597,6 +597,22 @@ mod tests {
         assert_eq!(pushback_upstreams(5, 1).len(), 2);
     }
 
+    /// The flood, adversarial and elephant attacks start at 5 s; a
+    /// shorter run clips them away instead of panicking.
+    #[test]
+    fn runs_ending_before_the_attack_onset_are_benign_only() {
+        let mut short = vec![flood(FloodVariation::SingleFlow, 3, 1), elephant(5)];
+        short.extend(AdversarialScenario::ALL.map(|s| adversarial(s, 5, 1)));
+        for mut src in short {
+            let mut n = 0;
+            while let Some(p) = src.next_packet() {
+                assert!(p.class.is_benign(), "attack packet at {:?}", p.arrival);
+                n += 1;
+            }
+            assert!(n > 0, "the benign side must still run");
+        }
+    }
+
     #[test]
     fn no_attack_variation_is_background_only() {
         let with = count(flood(FloodVariation::NoAttack, 8, 7));

@@ -1,6 +1,7 @@
 //! Property tests for the declarative spec grammars: ~200 PRNG-generated
 //! instances per spec type must survive `Display` → `FromStr` exactly
-//! (`parse(display(x)) == x`).
+//! (`parse(display(x)) == x`), and a smoke-scale sample of the accepted
+//! scenario sentences must actually run.
 //!
 //! The hand-picked cases in `crates/experiments/src/spec.rs` pin the
 //! canonical strings; this file sweeps the whole knob product space so a
@@ -12,6 +13,7 @@
 //! losslessly, and the same grid the adversarial search explores.
 
 use accturbo_experiments::cli;
+use accturbo_experiments::robustness::FAULT_KINDS;
 use accturbo_experiments::spec::{
     AccTurboSpec, DefenseSpec, EdgeDefense, FeatureProfile, JaqenSpec, Profile, ScenarioSpec,
     TopologyShape, TopologySpec, WorkloadSpec,
@@ -307,10 +309,6 @@ fn scenario_specs_round_trip_through_the_xp_run_sentence() {
         }
         if rng.gen_bool(0.4) {
             spec = spec.with_topology(random_topology(&mut rng));
-        } else if rng.gen_bool(0.3) {
-            // shards= and topology= are mutually exclusive in the CLI, so
-            // the sharded knob only rides on single-switch sentences.
-            spec = spec.with_shards(rng.gen_range(2..=16));
         }
         let sentence = spec.to_string();
         let argv: Vec<String> = sentence.split(' ').map(str::to_string).collect();
@@ -319,6 +317,57 @@ fn scenario_specs_round_trip_through_the_xp_run_sentence() {
         assert_eq!(
             cmd.spec, spec,
             "instance {i}: `{sentence}` changed across the round-trip"
+        );
+    }
+}
+
+/// Random sentences executed by [`every_accepted_sentence_runs_and_conserves_packets`].
+const EXECUTED: usize = 24;
+
+/// The seed of a scenario fuzzer: sentences drawn from the same
+/// generators at smoke scale (`secs ≤ 6`, `link ≤ 10m`), some with a
+/// fault mix, go through the real `xp run` parser and
+/// `ScenarioSpec::execute`. None may panic, and every run must conserve
+/// packets: arrivals = departures + drops + end-of-run backlog.
+/// `workload=flood secs=3` rides along because it ends before the
+/// flood's 5 s onset.
+#[test]
+fn every_accepted_sentence_runs_and_conserves_packets() {
+    let mut rng = StdRng::seed_from_u64(0xE7EC_0005);
+    let mut sentences = vec!["workload=flood secs=3".to_string()];
+    for _ in 0..EXECUTED {
+        let mut spec = ScenarioSpec::new(random_workload(&mut rng), random_defense(&mut rng))
+            .with_secs(rng.gen_range(1..=6))
+            .with_seed(rng.gen())
+            .with_link(rng.gen_range(1..=10u64) * 1_000_000);
+        if rng.gen_bool(0.3) {
+            spec = spec.with_period(ms(&mut rng, 10, 2000));
+        }
+        let mut sentence = if rng.gen_bool(0.3) {
+            spec.with_topology(random_topology(&mut rng)).to_string()
+        } else {
+            spec.to_string()
+        };
+        // Faults are single-switch only and `Display` does not render
+        // them, so they are appended to the sentence.
+        if !sentence.contains("topology=") && rng.gen_bool(0.3) {
+            let kind = FAULT_KINDS[rng.gen_range(0..FAULT_KINDS.len())];
+            let intensity = rng.gen_range(1..=9u32) as f64 / 10.0;
+            sentence.push_str(&format!(" faults={kind}:{intensity}"));
+        }
+        sentences.push(sentence);
+    }
+    for sentence in &sentences {
+        let argv: Vec<String> = sentence.split(' ').map(str::to_string).collect();
+        let cmd =
+            cli::parse_run(&argv).unwrap_or_else(|e| panic!("`{sentence}` is not accepted: {e}"));
+        let o = cmd.spec.execute();
+        let r = &o.result;
+        assert!(r.arrivals > 0, "`{sentence}`: no traffic arrived");
+        assert_eq!(
+            r.arrivals,
+            r.departures + r.drops + o.backlog_pkts as u64,
+            "`{sentence}`: packets not conserved"
         );
     }
 }
